@@ -23,6 +23,7 @@ type t = {
   c_frontend_canon : Obs.Telemetry.counter_handle;
   c_frontend_key : Obs.Telemetry.counter_handle;
   c_frontend_collisions : Obs.Telemetry.counter_handle;
+  c_shard_flushes : Obs.Telemetry.counter_handle;
 }
 
 (* Layout constants kept for dashboards that re-bucket from [lat_hist]:
@@ -45,6 +46,7 @@ let create () =
     c_frontend_key = Obs.Telemetry.counter_handle tel "frontend.key_ns";
     c_frontend_collisions =
       Obs.Telemetry.counter_handle tel "frontend.collisions";
+    c_shard_flushes = Obs.Telemetry.counter_handle tel "shard_flushes";
   }
 
 let telemetry t = t.tel
@@ -70,6 +72,7 @@ let frontend_parse_ns t ns = Obs.Telemetry.hincr_by t.tel t.c_frontend_parse ns
 let frontend_canon_ns t ns = Obs.Telemetry.hincr_by t.tel t.c_frontend_canon ns
 let frontend_key_ns t ns = Obs.Telemetry.hincr_by t.tel t.c_frontend_key ns
 let frontend_collision t = Obs.Telemetry.hincr t.tel t.c_frontend_collisions
+let shard_flush t = Obs.Telemetry.hincr t.tel t.c_shard_flushes
 
 let counters t = (Obs.Telemetry.snapshot t.tel).Obs.Telemetry.counters
 

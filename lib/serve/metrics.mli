@@ -90,6 +90,11 @@ val frontend_collision : t -> unit
 (** Count one estimate-cache hash hit whose full-key verification
     failed ([frontend.collisions]). *)
 
+val shard_flush : t -> unit
+(** Count one connection flush that had reply bytes to write
+    ([shard_flushes], [selest_shard_flushes_total]).  Requests divided
+    by flushes is the shards' reply-coalescing depth. *)
+
 val observe : t -> float -> unit
 (** Record one request latency, in seconds, into the aggregate
     histogram. *)

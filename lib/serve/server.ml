@@ -274,7 +274,7 @@ let probe t st ~name ~version hash =
   end
 
 (* Pre-render both wire responses when an entry is filled, so warm hits
-   write stored bytes straight to the socket. *)
+   queue stored bytes as they are. *)
 let make_entry ~name ~version ~vec est =
   {
     Lru.est;
@@ -1363,8 +1363,9 @@ let handle_frame_st t st payload =
    heap zero times.  A request is recognized as a slice of the
    connection buffer ({!Protocol.Slice}), lexed into the shard's
    reusable scratch query, canonicalized, hashed and probed against the
-   shard cache; a verified hit writes the entry's pre-rendered response
-   bytes straight to the socket.  Misses and inference errors are
+   shard cache; a verified hit queues the entry's pre-rendered response
+   bytes on the connection, which the shard writes with the rest of its
+   read batch.  Misses and inference errors are
    handled inline too (allocation is fine there — the cold half is
    gated on latency, not allocation), so once a request commits to the
    fast path the reference path never re-runs it and nothing is counted
@@ -1378,14 +1379,6 @@ let handle_frame_st t st payload =
    always sees the instrumented path.  Tail sampling is skipped: a warm
    hit is answered far under any realistic capture threshold, and
    slow-path responses keep the threshold fresh. *)
-
-let write_all_fd fd s =
-  let b = Bytes.unsafe_of_string s in
-  let n = Bytes.length b in
-  let off = ref 0 in
-  while !off < n do
-    off := !off + Unix.write fd b !off (n - !off)
-  done
 
 (* Does the slice equal [s], byte for byte?  Allocation-free. *)
 let slice_eq buf ~off ~len s =
@@ -1419,11 +1412,14 @@ let resolve_slice snap (sl : Protocol.Slice.t) buf =
     named entries
 
 (* Serve one recognized EST slice ([st.slice] already filled): parse →
-   canon → hash → probe → write.  [bin] selects which pre-rendered
-   response is written.  Returns [false] with no observable effect when
-   the fast path cannot own the request, [true] once the response —
-   hit, miss or inference error — is on the wire. *)
-let fast_est t st fd buf ~bin =
+   canon → hash → probe → queue the reply on [c].  [bin] selects which
+   pre-rendered response is queued.  Returns [false] with no observable
+   effect when the fast path cannot own the request, [true] once the
+   response — hit, miss or inference error — is queued.  A miss flushes
+   the replies queued ahead of it before running inference; the flush
+   is not part of this request's latency sample, and neither is the
+   write of its own reply, which the shard batches. *)
+let fast_est t st c buf ~bin =
   let sl = st.slice in
   if Obs.Span.enabled () then false
   else
@@ -1449,38 +1445,47 @@ let fast_est t st fd buf ~bin =
         Metrics.frontend_parse_ns t.metrics (t1 - t0);
         Metrics.frontend_canon_ns t.metrics (t2 - t1);
         Metrics.frontend_key_ns t.metrics (t3 - t2);
-        (match probe t st ~name ~version hash with
-        | entry -> write_all_fd fd (if bin then entry.Lru.bin else entry.Lru.text)
-        | exception Not_found -> (
-          match
-            infer_measured t st ~name ~entry:e ~hash
-              (Squery.to_query st.scratch)
-          with
-          | Ok (le, _, _, _) ->
-            write_all_fd fd (if bin then le.Lru.bin else le.Lru.text)
-          | Error msg ->
-            Metrics.incr t.metrics "est_errors";
-            write_all_fd fd
-              (if bin then
-                 Protocol.Bin.encode_response (Protocol.Bin.Berr msg)
-               else Protocol.err msg ^ "\n")));
-        Metrics.fast_est_latency_ns t.metrics (Obs.Clock.now_ns () - t0);
+        let flush_ns =
+          match probe t st ~name ~version hash with
+          | entry ->
+            Shard.reply c (if bin then entry.Lru.bin else entry.Lru.text);
+            0
+          | exception Not_found ->
+            let tf = Obs.Clock.now_ns () in
+            Shard.flush c;
+            let flush_ns = Obs.Clock.now_ns () - tf in
+            (match
+               infer_measured t st ~name ~entry:e ~hash
+                 (Squery.to_query st.scratch)
+             with
+            | Ok (le, _, _, _) ->
+              Shard.reply c (if bin then le.Lru.bin else le.Lru.text)
+            | Error msg ->
+              Metrics.incr t.metrics "est_errors";
+              Shard.reply c
+                (if bin then
+                   Protocol.Bin.encode_response (Protocol.Bin.Berr msg)
+                 else Protocol.err msg ^ "\n"));
+            flush_ns
+        in
+        Metrics.fast_est_latency_ns t.metrics
+          (Obs.Clock.now_ns () - t0 - flush_ns);
         true)
 
-let fast_line t st fd buf ~off ~len =
+let fast_line t st c buf ~off ~len =
   Protocol.Slice.est_line st.slice buf ~off ~len
-  && fast_est t st fd buf ~bin:false
+  && fast_est t st c buf ~bin:false
 
-let fast_frame t st fd buf ~off ~len =
+let fast_frame t st c buf ~off ~len =
   Protocol.Slice.bin_est st.slice buf ~off ~len
-  && fast_est t st fd buf ~bin:true
+  && fast_est t st c buf ~bin:true
 
 let fast_handlers t ~shard =
   if shard < 0 || shard >= Array.length t.shards then
     invalid_arg "Server.fast_handlers: shard out of range";
   let st = t.shards.(shard) in
-  ( (fun fd buf ~off ~len -> fast_line t st fd buf ~off ~len),
-    (fun fd buf ~off ~len -> fast_frame t st fd buf ~off ~len) )
+  ( (fun c buf ~off ~len -> fast_line t st c buf ~off ~len),
+    (fun c buf ~off ~len -> fast_frame t st c buf ~off ~len) )
 
 (* Transport-free entry points.  [handle_line]/[handle_frame] dispatch
    on shard 0 (embedded single-shard use, tests, benches);
@@ -1552,18 +1557,16 @@ let run t =
     Array.mapi
       (fun i rt ->
         let st = t.shards.(i) in
+        let on_line_fast, on_frame_fast = fast_handlers t ~shard:i in
         Domain.spawn (fun () ->
-            Shard.run rt ~stop ~request_stop
-              ~on_line_fast:(fun fd buf ~off ~len ->
-                fast_line t st fd buf ~off ~len)
-              ~on_frame_fast:(fun fd buf ~off ~len ->
-                fast_frame t st fd buf ~off ~len)
+            Shard.run rt ~stop ~request_stop ~on_line_fast ~on_frame_fast
               ~on_line:(fun line -> handle_line_st t st line)
               ~on_frame:(fun payload -> handle_frame_st t st payload)
               ~on_close:(fun () ->
                 ignore (Atomic.fetch_and_add st.inflight (-1)))
               ~on_protocol_error:(fun () ->
                 Metrics.incr t.metrics "protocol_errors")
+              ~on_flush:(fun () -> Metrics.shard_flush t.metrics)
               ()))
       rts
   in
@@ -1588,13 +1591,18 @@ let run t =
       Shard.submit rts.(i) fd
     | None ->
       Metrics.incr t.metrics "admission_rejected";
+      (* One best-effort non-blocking write: a rejected peer must never
+         stall [accept]. *)
       (try
-         write_all_fd fd
-           (Protocol.busy
-              (Printf.sprintf "all %d shards at max_inflight=%d — retry later"
-                 nshards t.max_inflight)
-           ^ "\n")
-       with Unix.Unix_error _ | Sys_error _ -> ());
+         let busy =
+           Protocol.busy
+             (Printf.sprintf "all %d shards at max_inflight=%d — retry later"
+                nshards t.max_inflight)
+           ^ "\n"
+         in
+         Unix.set_nonblock fd;
+         ignore (Unix.single_write_substring fd busy 0 (String.length busy))
+       with Unix.Unix_error _ -> ());
       (try Unix.close fd with Unix.Unix_error _ -> ())
   in
   while not (Atomic.get stop) do

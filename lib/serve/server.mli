@@ -50,7 +50,9 @@
     text and binary responses.  On the wire ({!run}) a warm EST is
     recognized and served entirely from buffer slices
     ({!fast_handlers}): the whole round trip from socket read to answer
-    write allocates nothing.  Requests the fast path cannot own —
+    write allocates nothing.  The shard owning the connection writes
+    every reply, coalescing a read batch's replies into one write
+    ({!Shard}).  Requests the fast path cannot own —
     errors, other verbs, span-collected traces — take the reference
     path ({!Protocol.parse_request} + [handle_line]) with identical
     observable behavior.
@@ -242,18 +244,23 @@ val handle_line_shard : t -> shard:int -> string -> string * [ `Continue | `Stop
 val fast_handlers :
   t ->
   shard:int ->
-  (Unix.file_descr -> Bytes.t -> off:int -> len:int -> bool)
-  * (Unix.file_descr -> Bytes.t -> off:int -> len:int -> bool)
+  (Shard.conn -> Bytes.t -> off:int -> len:int -> bool)
+  * (Shard.conn -> Bytes.t -> off:int -> len:int -> bool)
 (** The shard's allocation-free fast-path handlers [(on_line_fast,
     on_frame_fast)], exactly as {!run} wires them into the connection
     loop ({!Shard.run}).  Each recognizes a warm [EST] request as a
-    slice of the connection buffer, answers it end to end (zero-copy
-    parse into the shard scratch, hash probe, pre-rendered response
-    write — no heap allocation on a verified hit) and returns [true];
-    anything else returns [false] with no observable effect so the
-    reference handlers take over.  Exposed so the front-end benchmark
-    can drive the true socket path through {!Shard.Loopback}.  Raises
-    [Invalid_argument] when [shard] is out of range. *)
+    slice of the connection buffer, answers it (zero-copy parse into
+    the shard scratch, hash probe, pre-rendered response queued on the
+    connection with {!Shard.reply} — no heap allocation on a verified
+    hit) and returns [true]; the shard writes the reply with the rest of
+    its read batch.  A miss calls {!Shard.flush} before inference, so
+    replies queued ahead of it are not held back.  Anything else
+    returns [false] with no observable effect so the reference handlers
+    take over.  The fast path's latency samples cover parse to reply
+    queued: they exclude the write syscall and any flush.  Exposed so
+    the front-end benchmark can drive the true socket path through
+    {!Shard.Loopback}.  Raises [Invalid_argument] when [shard] is out of
+    range. *)
 
 val handle_frame : t -> bytes -> string
 (** Dispatch one binary request payload ({!Protocol.Bin}, length prefix
@@ -274,7 +281,8 @@ val run : t -> unit
     TCP endpoint with the configured [backlog], spawn one executor
     domain per shard, and accept connections, handing each to a shard
     mailbox round-robin under the [max_inflight] admission budget
-    (rejected connections get one [BUSY] line).  Returns once a
+    (rejected connections get one best-effort, non-blocking [BUSY]
+    line).  Returns once a
     [SHUTDOWN] request has been answered: the shard domains are joined,
     the socket file is removed, the domain pool is shut down and the
     final metrics are logged at info level. *)

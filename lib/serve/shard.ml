@@ -10,18 +10,31 @@
    dispatch with no locking whatsoever — the shard's caches, telemetry
    shard and arena are all domain-local.
 
+   The shard is also the only code that writes to a connection: replies
+   are queued and flushed once per read batch, and before any work that
+   is not a cache-hit answer, so a pipeline of warm hits costs one write
+   and a ready reply never waits behind inference.  Fds are non-blocking;
+   a connection with more than [out_cap] queued is not read until its
+   peer drains it — backpressure on that peer, not a blocked domain.
+
    A self-pipe wakes the loop out of [select] when the listener
    enqueues a connection or a shutdown is requested; the short select
    timeout is belt-and-braces so a lost wakeup can only delay, never
    hang, the loop. *)
 
+(* A byte window [lo, hi) over a growable buffer: a connection's input
+   and its output queue. *)
+type win = { mutable b : Bytes.t; mutable lo : int; mutable hi : int }
+
 type conn = {
   fd : Unix.file_descr;
-  mutable inbuf : Bytes.t;
-  mutable start : int;  (* first unconsumed byte *)
-  mutable len : int;  (* end of valid data *)
+  inq : win;  (* received bytes not yet consumed *)
+  outq : win;  (* replies not yet handed to the kernel *)
+  mutable scanned : int;  (* no '\n' in the first [scanned] bytes of [inq] *)
   mutable mode : [ `Text | `Bin ];
   mutable alive : bool;
+  mutable closing : bool;  (* read nothing more; close once drained *)
+  on_flush : unit -> unit;
 }
 
 type t = {
@@ -34,6 +47,10 @@ type t = {
 
 let create ~sid =
   let wake_r, wake_w = Unix.pipe () in
+  (* Both ends non-blocking: the drain reads until EAGAIN, and must not
+     block the loop when the pending wakeups are a multiple of its
+     scratch size. *)
+  Unix.set_nonblock wake_r;
   Unix.set_nonblock wake_w;
   {
     sid;
@@ -74,110 +91,154 @@ let drain_wake_pipe t =
   in
   go ()
 
-let new_conn fd =
-  { fd; inbuf = Bytes.create 4096; start = 0; len = 0; mode = `Text;
-    alive = true }
+let win () = { b = Bytes.create 4096; lo = 0; hi = 0 }
 
-let write_all fd s =
-  let b = Bytes.unsafe_of_string s in
-  let n = Bytes.length b in
-  let off = ref 0 in
-  while !off < n do
-    off := !off + Unix.write fd b !off (n - !off)
-  done
+let new_conn ~on_flush fd =
+  { fd; inq = win (); outq = win (); scanned = 0; mode = `Text; alive = true;
+    closing = false; on_flush }
 
-let write_line fd s =
-  write_all fd (s ^ "\n")
-
-(* Ensure room for one more read chunk, compacting the consumed prefix
-   first and growing only when a single message spans the whole buffer. *)
-let chunk = 4096
-
-let ensure_room c =
-  if c.start > 0 then begin
-    Bytes.blit c.inbuf c.start c.inbuf 0 (c.len - c.start);
-    c.len <- c.len - c.start;
-    c.start <- 0
-  end;
-  if Bytes.length c.inbuf - c.len < chunk then begin
-    let grown = Bytes.create (2 * Bytes.length c.inbuf) in
-    Bytes.blit c.inbuf 0 grown 0 c.len;
-    c.inbuf <- grown
+(* Room for [n] more bytes at [hi]: slide the window to the front, and
+   grow the buffer only when the window itself needs it. *)
+let room w n =
+  if w.hi + n > Bytes.length w.b then begin
+    let len = w.hi - w.lo in
+    let b =
+      if len + n <= Bytes.length w.b then w.b
+      else Bytes.create (2 * (len + n))
+    in
+    Bytes.blit w.b w.lo b 0 len;
+    w.b <- b;
+    w.lo <- 0;
+    w.hi <- len
   end
+
+(* Above this many queued reply bytes a connection is neither read nor
+   served until its peer drains the queue. *)
+let out_cap = 1 lsl 16
+
+let pending c = c.outq.hi - c.outq.lo
 
 let close_conn c =
   c.alive <- false;
   (try Unix.close c.fd with Unix.Unix_error _ -> ())
 
-(* Index of the next '\n' in the buffered data, or -1.  Top-level
-   recursion: an inner [let rec] would close over [c] and allocate on
-   every scan. *)
+let reply c s =
+  let n = String.length s and w = c.outq in
+  room w n;
+  Bytes.blit_string s 0 w.b w.hi n;
+  w.hi <- w.hi + n
+
+(* Hand queued bytes to the kernel until the queue is empty or the
+   socket is full (a blocking fd simply takes everything). *)
+let rec write_out c =
+  let w = c.outq in
+  match Unix.single_write c.fd w.b w.lo (w.hi - w.lo) with
+  | n ->
+    w.lo <- w.lo + n;
+    if w.lo < w.hi then write_out c
+    else begin
+      w.lo <- 0;
+      w.hi <- 0
+    end
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_out c
+  | exception Unix.Unix_error _ -> close_conn c
+
+let flush c =
+  if c.alive && pending c > 0 then begin
+    c.on_flush ();
+    write_out c
+  end;
+  if c.alive && c.closing && pending c = 0 then close_conn c
+
+(* Index of the next '\n' in the buffered input, or -1.  Resumes where
+   the previous scan stopped, so a long line arriving over many reads is
+   scanned once.  Top-level recursion: an inner [let rec] would close
+   over [c] and allocate on every scan. *)
 let rec find_nl_from c i =
-  if i >= c.len then -1
-  else if Bytes.unsafe_get c.inbuf i = '\n' then i
+  if i >= c.inq.hi then -1
+  else if Bytes.unsafe_get c.inq.b i = '\n' then i
   else find_nl_from c (i + 1)
 
-let find_nl c = find_nl_from c c.start
+let find_nl c =
+  let nl = find_nl_from c (c.inq.lo + c.scanned) in
+  c.scanned <- (if nl < 0 then c.inq.hi - c.inq.lo else 0);
+  nl
 
 (* Frame-length read without the [Int32] box [Bytes.get_int32_be]
    would allocate — the warm binary path must not touch the heap. *)
 let read_u32_be b i =
   (Bytes.get_uint16_be b i lsl 16) lor Bytes.get_uint16_be b (i + 2)
 
-(* Process every complete message currently buffered on [c].  Returns
-   [`Stop] when a handler requested server shutdown (its response has
-   already been written).
+(* A violation the stream cannot be resynchronized after: queue one
+   error reply, then close once it has drained. *)
+let fail_conn c on_protocol_error err =
+  on_protocol_error ();
+  reply c err;
+  c.closing <- true
+
+(* Process every complete message buffered on [c], queueing the
+   replies; [`Stop] when a handler requested server shutdown.  Leaves
+   messages buffered while the queue stays over [out_cap] after a flush.
 
    Each message is first offered to the fast handler as a slice of the
-   connection buffer — [on_line_fast] / [on_frame_fast] get the fd and
-   (buffer, off, len) and return [true] when they recognized, served
-   and answered the request without any string ever being built.  Only
-   on [false] is the line / frame payload copied out for the reference
-   handlers.  The fast handlers only match [EST] requests, so the [BIN]
-   hello and every other verb always reach the reference path.  Written
-   as a tail recursion over constant constructors: the warm loop itself
-   allocates nothing. *)
-(* Top-level recursion with the handlers threaded as plain arguments: a
-   [let rec go ()] closure inside [process_conn] would capture six
-   values and be rebuilt on every call — the warm loop must not touch
-   the heap. *)
+   connection buffer; [true] means it queued the answer itself, with no
+   string ever built.  Only on [false] is the message copied out for the
+   reference handlers — after a flush, as that is never a cache-hit
+   answer.  The fast handlers only match [EST], so the [BIN] hello and
+   every other verb always reach the reference path.
+
+   Top-level recursion with the handlers threaded as plain arguments: a
+   [let rec go ()] closure inside [process_conn] would be rebuilt on
+   every call — the warm loop must not touch the heap. *)
 let rec process_go c on_line_fast on_frame_fast on_line on_frame
     on_protocol_error =
-  if not c.alive then `Continue
+  let q = c.inq in
+  if (not c.alive) || c.closing then `Continue
+  else if pending c > out_cap && (flush c; pending c > out_cap) then `Continue
   else
     match c.mode with
     | `Text ->
       let nl = find_nl c in
-      if nl < 0 then `Continue
+      if nl < 0 then begin
+        if q.hi - q.lo > Protocol.Bin.max_frame then
+          fail_conn c on_protocol_error
+            (Protocol.err
+               (Printf.sprintf "line exceeds %d bytes without a newline"
+                  Protocol.Bin.max_frame)
+            ^ "\n");
+        `Continue
+      end
       else begin
         let stop =
-          if nl > c.start && Bytes.unsafe_get c.inbuf (nl - 1) = '\r' then
-            nl - 1
+          if nl > q.lo && Bytes.unsafe_get q.b (nl - 1) = '\r' then nl - 1
           else nl
         in
-        let off = c.start and len = stop - c.start in
-        if on_line_fast c.fd c.inbuf ~off ~len then begin
-          c.start <- nl + 1;
+        let off = q.lo and len = stop - q.lo in
+        if on_line_fast c q.b ~off ~len then begin
+          q.lo <- nl + 1;
           process_go c on_line_fast on_frame_fast on_line on_frame
             on_protocol_error
         end
         else begin
-          let line = Bytes.sub_string c.inbuf off len in
-          c.start <- nl + 1;
+          let line = Bytes.sub_string q.b off len in
+          q.lo <- nl + 1;
           if String.uppercase_ascii (String.trim line) = Protocol.Bin.hello
           then begin
             (* Upgrade: acknowledge in text, switch framing.  The hello
                itself is not a counted request. *)
-            write_line c.fd Protocol.Bin.hello_ok;
+            reply c (Protocol.Bin.hello_ok ^ "\n");
             c.mode <- `Bin;
             process_go c on_line_fast on_frame_fast on_line on_frame
               on_protocol_error
           end
           else begin
+            flush c;
             let response, action = on_line line in
-            write_line c.fd response;
+            reply c response;
+            reply c "\n";
             if action = `Stop then begin
-              close_conn c;
+              c.closing <- true;
               `Stop
             end
             else
@@ -187,90 +248,115 @@ let rec process_go c on_line_fast on_frame_fast on_line on_frame
         end
       end
     | `Bin ->
-      if c.len - c.start < 4 then `Continue
+      if q.hi - q.lo < 4 then `Continue
       else begin
-        let flen = read_u32_be c.inbuf c.start in
+        let flen = read_u32_be q.b q.lo in
         if flen > Protocol.Bin.max_frame then begin
-          (* Unrecoverable: the stream cannot be resynchronized. *)
-          on_protocol_error ();
-          write_all c.fd
+          fail_conn c on_protocol_error
             (Protocol.Bin.encode_response
                (Protocol.Bin.Berr
                   (Printf.sprintf "bin: frame length %d exceeds %d" flen
                      Protocol.Bin.max_frame)));
-          close_conn c;
           `Continue
         end
-        else if c.len - c.start - 4 < flen then `Continue
+        else if q.hi - q.lo - 4 < flen then `Continue
         else begin
-          let off = c.start + 4 in
-          if on_frame_fast c.fd c.inbuf ~off ~len:flen then begin
-            c.start <- c.start + 4 + flen;
+          let off = q.lo + 4 in
+          if on_frame_fast c q.b ~off ~len:flen then begin
+            q.lo <- off + flen;
             process_go c on_line_fast on_frame_fast on_line on_frame
               on_protocol_error
           end
           else begin
-            let payload = Bytes.sub c.inbuf off flen in
-            c.start <- c.start + 4 + flen;
-            write_all c.fd (on_frame payload);
+            let payload = Bytes.sub q.b off flen in
+            q.lo <- off + flen;
+            flush c;
+            reply c (on_frame payload);
             process_go c on_line_fast on_frame_fast on_line on_frame
               on_protocol_error
           end
         end
       end
 
+(* Serve the buffered batch, then flush its replies in one go. *)
 let process_conn c ~on_line_fast ~on_frame_fast ~on_line ~on_frame
     ~on_protocol_error =
-  try process_go c on_line_fast on_frame_fast on_line on_frame on_protocol_error
-  with Unix.Unix_error _ | Sys_error _ ->
-    close_conn c;
-    `Continue
+  let r =
+    process_go c on_line_fast on_frame_fast on_line on_frame on_protocol_error
+  in
+  flush c;
+  r
 
-(* Read whatever is available on [c]; 0 bytes means the peer closed. *)
+(* Read whatever is available on [c].  0 bytes means the peer closed or
+   half-closed: queued replies still go out, then the connection closes. *)
 let read_into c =
-  ensure_room c;
-  match Unix.read c.fd c.inbuf c.len chunk with
-  | 0 -> close_conn c
-  | n -> c.len <- c.len + n
+  let q = c.inq in
+  room q 4096;
+  match Unix.read c.fd q.b q.hi (Bytes.length q.b - q.hi) with
+  | 0 -> c.closing <- true
+  | n -> q.hi <- q.hi + n
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
     -> ()
   | exception Unix.Unix_error _ -> close_conn c
 
 let run t ~stop ~request_stop ~on_line_fast ~on_frame_fast ~on_line ~on_frame
-    ~on_close ~on_protocol_error () =
+    ~on_close ~on_protocol_error ~on_flush () =
   let conns = ref [] in
   let reap () =
     let live, dead = List.partition (fun c -> c.alive) !conns in
     List.iter (fun _ -> on_close ()) dead;
     conns := live
   in
+  let serve c =
+    if c.alive then
+      match
+        process_conn c ~on_line_fast ~on_frame_fast ~on_line ~on_frame
+          ~on_protocol_error
+      with
+      | `Continue -> ()
+      | `Stop -> request_stop ()
+  in
+  let fds cs = List.map (fun c -> c.fd) cs in
+  let writers () = List.filter (fun c -> c.alive && pending c > 0) !conns in
   while not (Atomic.get stop) do
-    let fds = t.wake_r :: List.map (fun c -> c.fd) !conns in
-    match Unix.select fds [] [] 0.25 with
+    let readers =
+      List.filter (fun c -> (not c.closing) && pending c <= out_cap) !conns
+    in
+    match Unix.select (t.wake_r :: fds readers) (fds (writers ())) [] 0.25 with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | readable, _, _ ->
+    | readable, writable, _ ->
       if List.memq t.wake_r readable then begin
         drain_wake_pipe t;
         List.iter
-          (fun fd -> conns := new_conn fd :: !conns)
+          (fun fd ->
+            Unix.set_nonblock fd;
+            conns := new_conn ~on_flush fd :: !conns)
           (drain_mailbox t)
       end;
       List.iter
         (fun c ->
-          if c.alive && List.memq c.fd readable then begin
+          if c.alive && List.memq c.fd writable then begin
+            (* Drained some: serve what backpressure held back. *)
+            flush c;
+            serve c
+          end;
+          if c.alive && (not c.closing) && List.memq c.fd readable then begin
             read_into c;
-            if c.alive then
-              match
-                process_conn c ~on_line_fast ~on_frame_fast ~on_line ~on_frame
-                  ~on_protocol_error
-              with
-              | `Continue -> ()
-              | `Stop -> request_stop ()
+            serve c
           end)
         !conns;
       reap ()
   done;
-  (* Shutdown: close every owned connection and anything still queued. *)
+  (* Shutdown: queued replies (a SHUTDOWN acknowledgement among them)
+     get up to a second to drain; then close every owned connection and
+     anything still in the mailbox. *)
+  let deadline = Unix.gettimeofday () +. 1.0 in
+  while writers () <> [] && Unix.gettimeofday () < deadline do
+    match Unix.select [] (fds (writers ())) [] 0.05 with
+    | _, writable, _ ->
+      List.iter (fun c -> if List.memq c.fd writable then flush c) !conns
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+  done;
   List.iter (fun c -> if c.alive then close_conn c) !conns;
   List.iter (fun _ -> on_close ()) !conns;
   conns := [];
@@ -287,15 +373,15 @@ let destroy t =
 (* ---- loopback harness ----------------------------------------------------- *)
 
 (* Drive one connection synchronously over an fd the caller already
-   owns (a socketpair end): no mailbox, no [select], no domain.  The
-   front-end benchmark and the tests use this to measure the true
-   socket-read → answer-write path — fast handlers included — without
-   standing up a listener. *)
+   owns (a socketpair end): no mailbox, no [select], no domain.  The fd
+   stays blocking, so the end-of-batch flush writes every reply before
+   [step] returns.  The front-end benchmark and the tests use this to
+   measure the true socket-read → answer-write path — fast handlers
+   included — without standing up a listener. *)
 module Loopback = struct
   type nonrec conn = conn
 
-  let connect fd = new_conn fd
-  let upgrade_bin c = c.mode <- `Bin
+  let connect fd = new_conn ~on_flush:ignore fd
   let alive c = c.alive
 
   let step c ~on_line_fast ~on_frame_fast ~on_line ~on_frame =

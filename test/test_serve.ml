@@ -1478,6 +1478,310 @@ let test_fast_path_loopback () =
         (Metrics.get m "frontend.key_ns" > 0);
       Alcotest.(check int) "no collisions" 0 (Metrics.get m "frontend.collisions"))
 
+(* ---- the shard's reply path ------------------------------------------------
+
+   Every reply is queued on its connection and written by the shard, one
+   flush per read batch (plus one before any work that is not a cache
+   hit).  These tests drive the real [Shard.run] loop over a Unix socket:
+   a pipelined stream must answer byte-for-byte what the same stream
+   answers one request at a time, and a peer that stops reading must
+   stall only itself. *)
+
+let serving ?domains f =
+  let socket = Filename.temp_file "selest" ".sock" in
+  Sys.remove socket;
+  let server = Server.create ?domains ~db:(Lazy.force db) ~socket () in
+  ignore (Registry.register (Server.registry server) ~name:"default" (Lazy.force model));
+  let thread = Thread.create Server.run server in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.shutdown server;
+      Thread.join thread)
+    (fun () -> f server socket)
+
+let raw_connect socket =
+  let rec go n =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    match Unix.connect fd (Unix.ADDR_UNIX socket) with
+    | () -> fd
+    | exception Unix.Unix_error _ when n < 200 ->
+      Unix.close fd;
+      Unix.sleepf 0.01;
+      go (n + 1)
+  in
+  go 0
+
+let send_all fd s =
+  let n = String.length s in
+  let rec go off = if off < n then go (off + Unix.write_substring fd s off (n - off)) in
+  go 0
+
+(* Block on [fd] for at most [timeout] seconds; [false] on timeout. *)
+let wait_readable fd timeout =
+  match Unix.select [ fd ] [] [] timeout with
+  | [], _, _ -> false
+  | _ -> true
+
+let read_exact fd n =
+  let b = Bytes.create n in
+  let rec go off =
+    if off < n then begin
+      if not (wait_readable fd 10.0) then Alcotest.fail "reply timed out";
+      match Unix.read fd b off (n - off) with
+      | 0 -> Alcotest.fail "connection closed mid-reply"
+      | k -> go (off + k)
+    end
+  in
+  go 0;
+  Bytes.to_string b
+
+let read_line_fd fd =
+  let buf = Buffer.create 64 in
+  let rec go () =
+    let c = read_exact fd 1 in
+    Buffer.add_string buf c;
+    if c <> "\n" then go ()
+  in
+  go ();
+  Buffer.contents buf
+
+let read_to_eof fd =
+  let buf = Buffer.create 65536 and b = Bytes.create 65536 in
+  let rec go () =
+    if not (wait_readable fd 10.0) then Alcotest.fail "close timed out";
+    match Unix.read fd b 0 65536 with
+    | 0 -> ()
+    | k ->
+      Buffer.add_subbytes buf b 0 k;
+      go ()
+  in
+  go ();
+  Buffer.contents buf
+
+(* One request of a mixed stream, with how its reply is framed. *)
+type wire = Line of string | Frame of string
+
+let wire_bytes = function Line l -> l ^ "\n" | Frame f -> f
+
+let read_reply fd = function
+  | Line _ -> read_line_fd fd
+  | Frame _ ->
+    let hdr = read_exact fd 4 in
+    let len = Int32.to_int (String.get_int32_be hdr 0) in
+    hdr ^ read_exact fd len
+
+(* A seeded mix over a small query space, so bodies repeat: the first
+   sight of a body is a cache miss, later ones are warm hits. *)
+let mixed_stream ~n ~bin =
+  let rng = Random.State.make [| 12 |] in
+  let body () =
+    match Random.State.int rng 3 with
+    | 0 -> Printf.sprintf "p=patient ; ; p.USBorn=%d" (Random.State.int rng 2)
+    | _ ->
+      Printf.sprintf "c=contact, p=patient ; c.patient=p ; p.USBorn=%d, c.Contype=%d"
+        (Random.State.int rng 2) (Random.State.int rng 4)
+  in
+  let text () =
+    match Random.State.int rng 20 with
+    | 0 -> Line "PING"
+    | 1 -> Line "EST z=zebra"
+    | 2 -> Line ("ESTBATCH " ^ String.concat " | " (List.init 3 (fun _ -> body ())))
+    | 3 -> Line "EST @nope p=patient"
+    | _ -> Line ("EST " ^ body ())
+  in
+  let frame () =
+    let open Protocol.Bin in
+    Frame
+      (encode_request
+         (match Random.State.int rng 20 with
+         | 0 -> Best { model = None; body = "utter garbage" }
+         | 1 -> Bestbatch { model = None; bodies = List.init 3 (fun _ -> body ()) }
+         | 2 -> Best { model = Some "nope"; body = body () }
+         | _ -> Best { model = None; body = body () }))
+  in
+  if bin then
+    List.init (n / 4) (fun _ -> text ())
+    @ [ Line Protocol.Bin.hello ]
+    @ List.init (n - (n / 4)) (fun _ -> frame ())
+  else List.init n (fun _ -> text ()) @ [ Line "SHUTDOWN" ]
+
+let check_pipelined_order ~bin () =
+  let stream = mixed_stream ~n:240 ~bin in
+  (* Reference: one request at a time, each reply read before the next. *)
+  let expected =
+    serving (fun _ socket ->
+        let fd = raw_connect socket in
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () ->
+            String.concat ""
+              (List.map
+                 (fun w ->
+                   send_all fd (wire_bytes w);
+                   read_reply fd w)
+                 stream)))
+  in
+  Alcotest.(check bool) "stream mostly answers OK" true
+    (List.length
+       (List.filter
+          (fun l -> Protocol.is_ok l)
+          (String.split_on_char '\n' expected))
+    > 40);
+  (* Pipelined: the whole stream in one write. *)
+  serving (fun server socket ->
+      let fd = raw_connect socket in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          send_all fd (String.concat "" (List.map wire_bytes stream));
+          let got =
+            if bin then read_exact fd (String.length expected) else read_to_eof fd
+          in
+          Alcotest.(check string) "pipelined replies = one-at-a-time replies"
+            expected got;
+          if not bin then
+            Alcotest.(check bool) "SHUTDOWN acknowledged before the close" true
+              (String.ends_with ~suffix:"OK bye\n" got);
+          let m = Server.metrics server in
+          let flushes = Metrics.get m "shard_flushes" in
+          Alcotest.(check bool) "replies were flushed" true (flushes > 0);
+          Alcotest.(check bool) "replies were coalesced" true
+            (flushes < Metrics.get m "requests")))
+
+(* A client that pipelines requests and never reads its replies fills
+   its own output queue and is parked; the other clients of the same
+   (single) shard keep their sub-100 ms answers. *)
+let ping_within server_socket ~bound =
+  let fd = raw_connect server_socket in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      let t0 = Unix.gettimeofday () in
+      send_all fd "PING\n";
+      if not (wait_readable fd 5.0) then Alcotest.fail "PING stalled";
+      let pong = read_line_fd fd in
+      let dt = Unix.gettimeofday () -. t0 in
+      Alcotest.(check string) "pong" "PONG\n" pong;
+      if dt > bound then Alcotest.failf "PING took %.3f s (bound %.3f s)" dt bound)
+
+let test_abuse_non_reader () =
+  serving ~domains:1 (fun _ socket ->
+      let greedy = raw_connect socket in
+      Fun.protect
+        ~finally:(fun () -> Unix.close greedy)
+        (fun () ->
+          let line = "EST c=contact, p=patient ; c.patient=p ; p.USBorn=1, c.Contype=2\n" in
+          let payload = String.concat "" (List.init 4096 (fun _ -> line)) in
+          (* Continue the line stream from byte [sent] until [upto] bytes
+             went out or the socket stayed full for [patience] seconds;
+             the bytes sent so far.  Only the stream's final partial line
+             goes unanswered. *)
+          let plen = String.length payload in
+          let push ~upto ~patience sent =
+            let rec go sent =
+              if sent >= upto then sent
+              else
+                let off = sent mod plen in
+                match Unix.write_substring greedy payload off (plen - off) with
+                | k -> go (sent + k)
+                | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+                  (match Unix.select [] [ greedy ] [] patience with
+                  | _, [], _ -> sent
+                  | _ -> go sent)
+            in
+            go sent
+          in
+          Unix.set_nonblock greedy;
+          (* The server keeps reading until the greedy client's replies
+             back up past its queue cap, so 256 KiB fits without a
+             reader on this side... *)
+          let first = push ~upto:(256 * 1024) ~patience:5.0 0 in
+          if first < 256 * 1024 then
+            Alcotest.failf "server stopped reading after %d bytes" first;
+          (* ...and then it parks the connection: 16 MiB do not fit. *)
+          let sent = push ~upto:(16 lsl 20) ~patience:0.3 first in
+          if sent >= 16 lsl 20 then
+            Alcotest.fail "a client that never reads was never parked";
+          ping_within socket ~bound:0.1;
+          (* Nothing was dropped: reading resumes the parked client and
+             every request gets exactly one reply. *)
+          let lines = sent / String.length line in
+          Unix.clear_nonblock greedy;
+          let replies = ref 0 and b = Bytes.create 65536 in
+          while !replies < lines do
+            if not (wait_readable greedy 10.0) then
+              Alcotest.failf "greedy client stuck at %d/%d replies" !replies lines;
+            let k = Unix.read greedy b 0 65536 in
+            if k = 0 then Alcotest.fail "greedy client closed early";
+            for i = 0 to k - 1 do
+              if Bytes.get b i = '\n' then incr replies
+            done
+          done;
+          Alcotest.(check int) "one reply per request" lines !replies);
+      Client.with_connection ~socket (fun c ->
+          Alcotest.(check bool) "STATS shows shard_flushes" true
+            (match Protocol.stats_field (Client.request c "STATS") "shard_flushes" with
+            | Some v -> int_of_string v > 0
+            | None -> false);
+          Alcotest.(check bool) "METRICS exports selest_shard_flushes_total" true
+            (contains (Client.request c "METRICS") "selest_shard_flushes_total")))
+
+(* A text line with no newline is buffered up to the frame bound: 1 MiB
+   of it stalls nobody, and past {!Protocol.Bin.max_frame} the line is
+   answered with one ERR and the connection closed. *)
+let test_abuse_unterminated_line () =
+  serving ~domains:1 (fun server socket ->
+      let long = raw_connect socket in
+      Fun.protect
+        ~finally:(fun () -> Unix.close long)
+        (fun () ->
+          let mib = String.make (1 lsl 20) 'x' in
+          send_all long mib;
+          Unix.sleepf 0.05;
+          ping_within socket ~bound:0.1;
+          let rest = String.make (Protocol.Bin.max_frame + 1 - String.length mib) 'x' in
+          send_all long rest;
+          let reply = read_to_eof long in
+          Alcotest.(check bool) "one ERR line, then the close" true
+            (Protocol.is_err (String.trim reply)
+            && String.index reply '\n' = String.length reply - 1);
+          Alcotest.(check int) "protocol error counted" 1
+            (Metrics.get (Server.metrics server) "protocol_errors");
+          ping_within socket ~bound:0.1))
+
+(* A burst of wakeups that is an exact multiple of the loop's drain
+   size (64 bytes) must not leave the shard blocked reading its wakeup
+   pipe: the connection handed over with the last wakeup gets served. *)
+let test_shard_wake_burst () =
+  let rt = Shard.create ~sid:0 and stop = Atomic.make false in
+  let client, served = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  (* 63 wakeups plus the one [submit] sends, all before the loop starts. *)
+  for _ = 1 to 63 do Shard.wake rt done;
+  Shard.submit rt served;
+  let loop =
+    Thread.create
+      (fun () ->
+        Shard.run rt ~stop
+          ~request_stop:(fun () -> Atomic.set stop true)
+          ~on_line_fast:(fun _ _ ~off:_ ~len:_ -> false)
+          ~on_frame_fast:(fun _ _ ~off:_ ~len:_ -> false)
+          ~on_line:(fun _ -> ("PONG", `Continue))
+          ~on_frame:(fun _ -> "")
+          ~on_close:ignore ~on_protocol_error:ignore ~on_flush:ignore ())
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Shard.wake rt;
+      Thread.join loop;
+      Shard.destroy rt;
+      Unix.close client)
+    (fun () ->
+      send_all client "PING\n";
+      if not (wait_readable client 2.0) then Alcotest.fail "shard stuck on its wakeup pipe";
+      Alcotest.(check string) "served" "PONG\n" (read_line_fd client))
+
 (* ---- suite ------------------------------------------------------------------------ *)
 
 let () =
@@ -1570,4 +1874,15 @@ let () =
               test_slice_recognizes_warm_forms;
             Alcotest.test_case "fast path loopback" `Quick test_fast_path_loopback;
           ] );
+      ( "reply-path",
+        [
+          Alcotest.test_case "pipelined order, text" `Quick
+            (check_pipelined_order ~bin:false);
+          Alcotest.test_case "pipelined order, bin" `Quick
+            (check_pipelined_order ~bin:true);
+          Alcotest.test_case "abuse: non-reader" `Quick test_abuse_non_reader;
+          Alcotest.test_case "abuse: unterminated line" `Quick
+            test_abuse_unterminated_line;
+          Alcotest.test_case "wakeup burst" `Quick test_shard_wake_burst;
+        ] );
     ]
