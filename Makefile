@@ -1,7 +1,7 @@
 SOCKET ?= /tmp/selest-demo.sock
 CLI = dune exec --no-build bin/selest_cli.exe --
 
-.PHONY: build test bench bench-smoke serve-demo clean
+.PHONY: build test bench bench-smoke serve-demo lockfree-check clean
 
 build:
 	dune build
@@ -52,8 +52,7 @@ bench: build
 # recorded as skipped on hosts with < 4 cores), bit-identity of every
 # sharded answer against the transport-free single-domain reference,
 # admission-control BUSY rejection, TCP text + binary transport, and
-# structural lock-freedom of the sharded request path; emits
-# BENCH_serve.json.
+# registry epoch publication; emits BENCH_serve.json.
 bench-smoke: build
 	dune exec bench/main.exe -- --fig inference
 	@python3 -m json.tool BENCH_inference.json > /dev/null 2>&1 \
@@ -97,6 +96,19 @@ bench-smoke: build
 	@python3 -m json.tool BENCH_serve.json > /dev/null 2>&1 \
 	  && echo "BENCH_serve.json: valid" \
 	  || { echo "BENCH_serve.json: INVALID JSON"; exit 1; }
+
+# Each shard's domain owns its caches and the plans in them, so the
+# modules that hold that state must never take a lock.  Fails if Mutex
+# appears in any of them (or one of them is missing).
+LOCKFREE_SRCS = lib/plan/plan.ml lib/serve/plan_cache.ml lib/serve/lru.ml \
+  lib/obs/qerror.ml
+
+lockfree-check:
+	@status=0; grep -n Mutex $(LOCKFREE_SRCS) || status=$$?; \
+	if [ $$status -ne 1 ]; then \
+	  echo "lockfree-check: FAIL (Mutex found or file missing)"; exit 1; \
+	fi; \
+	echo "lockfree-check: ok ($(LOCKFREE_SRCS))"
 
 # Smoke-test the estimation service end to end: start a server that learns
 # a PRM over the TB dataset, exercise the whole protocol, shut it down.

@@ -715,13 +715,12 @@ let write_json file fields =
 
      - single-query VE (stride kernels + fused sum_out_product) vs the
        naive Reference engine;
-     - ESTBATCH fan-out over the domain pool vs sequential EST on the same
-       cold-cache workload;
+     - inline ESTBATCH vs sequential EST on the same cold-cache workload;
      - parallel vs sequential candidate-move scoring in PRM search;
      - served EST latency percentiles, split into cache hits and misses. *)
 
 let fig_inference () =
-  section "I1: fast inference core — stride kernels, order cache, ESTBATCH fan-out";
+  section "I1: fast inference core — stride kernels, order cache, ESTBATCH";
   let json = ref [] in
   let jfield name v = json := (name, v) :: !json in
 
@@ -811,9 +810,7 @@ let fig_inference () =
   let seq_server = Serve.Server.create ~db ~socket:"(bench: transport-free)" () in
   ignore (Serve.Registry.register (Serve.Server.registry seq_server) ~name:"default" model);
   let seq_qps = throughput seq_server (List.map (fun b -> "EST " ^ b) bodies) in
-  let batch_server =
-    Serve.Server.create ~db ~pool_size:pool_domains ~socket:"(bench: transport-free)" ()
-  in
+  let batch_server = Serve.Server.create ~db ~socket:"(bench: transport-free)" () in
   ignore (Serve.Registry.register (Serve.Server.registry batch_server) ~name:"default" model);
   let rec chunks n = function
     | [] -> []
@@ -831,12 +828,11 @@ let fig_inference () =
     List.map (fun c -> "ESTBATCH " ^ String.concat " || " c) (chunks 32 bodies)
   in
   let batch_qps = throughput batch_server batch_lines in
-  Serve.Server.shutdown_pool batch_server;
   Printf.printf "\n%d distinct TB join queries, cold caches, PRM %dB\n" n_queries
     (Prm.Model.size_bytes model);
   Printf.printf "sequential EST:             %8.0f queries/s\n" seq_qps;
-  Printf.printf "ESTBATCH (pool of %d, x32): %8.0f queries/s  (%.2fx)\n" pool_domains
-    batch_qps (batch_qps /. seq_qps);
+  Printf.printf "ESTBATCH (inline, x32):     %8.0f queries/s  (%.2fx)\n" batch_qps
+    (batch_qps /. seq_qps);
   jfield "est_queries" (string_of_int n_queries);
   jfield "pool_domains" (string_of_int pool_domains);
   jfield "host_cores" (string_of_int (Domain.recommended_domain_count ()));
@@ -1932,7 +1928,6 @@ let fig_obs () =
   check "trace log wrote one JSONL record per span" (!trace_lines >= 4)
     (Printf.sprintf "%d lines" !trace_lines);
   jfield "trace_log_lines" (string_of_int !trace_lines);
-  Serve.Server.shutdown_pool server;
 
   (* --- golden text: shape only, numbers stripped --------------------------- *)
   let golden = Buffer.create 512 in
@@ -2227,7 +2222,6 @@ let fig_telemetry () =
     (sample "selest_slo_latency_burn" <> None) "";
   jfield "health_lines" (string_of_int (List.length hlines));
   jfield "slowlog_lines" (string_of_int (List.length slines));
-  Serve.Server.shutdown_pool server;
 
   (* --- golden text: response shape, numbers stripped ----------------------- *)
   let keys_of line =
@@ -2285,10 +2279,9 @@ let fig_telemetry () =
    (d) TCP transport: text and binary-frame answers over the TCP
        listener match the reference bit for bit.
 
-   (e) Structure: multi-shard servers run unsynchronized plan caches and
-       lock-free q-error shards (the "zero request-path mutexes" claim
-       as an assertable property), and hot-reload bumps the registry
-       epoch. *)
+   (e) Structure: hot-reload bumps the registry epoch.  (That the
+       request path takes no mutex is a source property, checked by
+       [make lockfree-check].) *)
 
 let fig_serve () =
   section "SV: shard-per-domain server — QPS, bit-identity, admission, TCP";
@@ -2449,25 +2442,13 @@ let fig_serve () =
            | Error msg -> check "tcp binary answer bit-identical" false msg);
        jfield "tcp_smoke" "ok"));
 
-  (* (e) structural lock-freedom + epoch publication *)
+  (* (e) epoch publication *)
   (let s2 = Serve.Server.create ~domains:2 ~db ~socket:"(bench: structural)" () in
-   let s1 = Serve.Server.create ~db ~socket:"(bench: structural)" () in
-   check "multi-shard plan caches unsynchronized"
-     (not (Serve.Plan_cache.synchronized (Serve.Server.shard_plan_cache s2 0)))
-     "no mutex on the sharded plan-cache path";
-   check "single-shard plan cache synchronized"
-     (Serve.Plan_cache.synchronized (Serve.Server.plan_cache s1))
-     "pool fan-out shares one cache";
-   check "q-error shards lock-free"
-     (not (Obs.Qerror.synchronized (Serve.Server.qerror_table s2 "default")))
-     "domain-local tables, merged on read";
    let e0 = Serve.Registry.Epoch.current_epoch (Serve.Server.registry s2) in
    ignore (Serve.Registry.register (Serve.Server.registry s2) ~name:"default" model);
    let e1 = Serve.Registry.Epoch.current_epoch (Serve.Server.registry s2) in
    check "registry install bumps the epoch" (e1 > e0)
-     (Printf.sprintf "epoch %d -> %d" e0 e1);
-   jfield "lock_free_multishard"
-     (string_of_bool (not (Serve.Plan_cache.synchronized (Serve.Server.shard_plan_cache s2 0)))));
+     (Printf.sprintf "epoch %d -> %d" e0 e1));
 
   write_json "BENCH_serve.json" (List.rev !json);
   if !failures <> [] then begin

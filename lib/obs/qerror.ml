@@ -6,19 +6,14 @@ let bucket_ratio = sqrt 2.
 let bounds = Array.init n_buckets (fun i -> bucket_ratio ** float_of_int (i + 1))
 
 type t = {
-  mutex : Mutex.t;
-  sync : bool;
   hist : int array;
   mutable count : int;
   mutable sum : float;
   mutable max_q : float;
 }
 
-let create ?(sync = true) () =
-  { mutex = Mutex.create (); sync; hist = Array.make n_buckets 0; count = 0;
-    sum = 0.0; max_q = 0.0 }
-
-let synchronized t = t.sync
+let create () =
+  { hist = Array.make n_buckets 0; count = 0; sum = 0.0; max_q = 0.0 }
 
 let value ~est ~truth =
   let e = Float.max est 1.0 and t = Float.max truth 1.0 in
@@ -33,51 +28,26 @@ let bucket_of q =
   in
   search 0 (n_buckets - 1)
 
-let record_unlocked t q =
+let record t q =
+  let q = Float.max q 1.0 in
   t.hist.(bucket_of q) <- t.hist.(bucket_of q) + 1;
   t.count <- t.count + 1;
   t.sum <- t.sum +. q;
   if q > t.max_q then t.max_q <- q
 
-let record t q =
-  let q = Float.max q 1.0 in
-  if t.sync then begin
-    Mutex.lock t.mutex;
-    record_unlocked t q;
-    Mutex.unlock t.mutex
-  end
-  else record_unlocked t q
-
 let observe t ~est ~truth = record t (value ~est ~truth)
 
-let locked t f =
-  if t.sync then begin
-    Mutex.lock t.mutex;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
-  end
-  else f ()
-
 let merge_into ~into t =
-  locked t (fun () ->
-      let snap_hist = Array.copy t.hist in
-      let snap_count = t.count and snap_sum = t.sum and snap_max = t.max_q in
-      locked into (fun () ->
-          Array.iteri
-            (fun i n -> into.hist.(i) <- into.hist.(i) + n)
-            snap_hist;
-          into.count <- into.count + snap_count;
-          into.sum <- into.sum +. snap_sum;
-          if snap_max > into.max_q then into.max_q <- snap_max))
+  Array.iteri (fun i n -> into.hist.(i) <- into.hist.(i) + n) t.hist;
+  into.count <- into.count + t.count;
+  into.sum <- into.sum +. t.sum;
+  if t.max_q > into.max_q then into.max_q <- t.max_q
 
-let count t = locked t (fun () -> t.count)
+let count t = t.count
+let mean t = if t.count = 0 then Float.nan else t.sum /. float_of_int t.count
+let worst t = if t.count = 0 then Float.nan else t.max_q
 
-let mean t =
-  locked t (fun () ->
-      if t.count = 0 then Float.nan else t.sum /. float_of_int t.count)
-
-let worst t = locked t (fun () -> if t.count = 0 then Float.nan else t.max_q)
-
-let percentile_unlocked t p =
+let percentile t p =
   if t.count = 0 then Float.nan
   else begin
     let target =
@@ -97,8 +67,6 @@ let percentile_unlocked t p =
     !edge
   end
 
-let percentile t p = locked t (fun () -> percentile_unlocked t p)
-
 type summary = {
   n : int;
   mean : float;
@@ -109,22 +77,16 @@ type summary = {
 }
 
 let summarize t =
-  locked t (fun () ->
-      { n = t.count;
-        mean = (if t.count = 0 then Float.nan else t.sum /. float_of_int t.count);
-        p50 = percentile_unlocked t 0.5;
-        p90 = percentile_unlocked t 0.9;
-        p99 = percentile_unlocked t 0.99;
-        max_q = (if t.count = 0 then Float.nan else t.max_q) })
+  { n = t.count; mean = mean t; p50 = percentile t 0.5; p90 = percentile t 0.9;
+    p99 = percentile t 0.99; max_q = worst t }
 
 let buckets t =
-  locked t (fun () ->
-      let cum = ref 0 in
-      Array.mapi
-        (fun i n ->
-          cum := !cum + n;
-          (bounds.(i), !cum))
-        t.hist)
+  let cum = ref 0 in
+  Array.mapi
+    (fun i n ->
+      cum := !cum + n;
+      (bounds.(i), !cum))
+    t.hist
 
 let of_pairs pairs =
   let t = create () in

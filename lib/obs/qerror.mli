@@ -9,22 +9,16 @@
     Observations land in a fixed log-scale histogram (64 buckets,
     geometric with ratio [sqrt 2], so bucket 63 reaches 2^32) plus exact
     running sum / max, mirroring the latency histogram in
-    [Serve.Metrics].  By default all operations are mutex-guarded; a
-    table created with [~sync:false] skips the mutex entirely for use
-    as domain-local state (one writer domain; concurrent readers from
-    other domains via [merge_into] see racy-but-never-torn values —
-    every field is an immediate int or an unboxed float slot, so a
-    stale read is possible but a corrupt one is not). *)
+    [Serve.Metrics].  A table has no lock: writes must come from one
+    owner domain, as in the per-domain telemetry shards, and merged
+    copies are local to the reader.  Readers from other domains via
+    [merge_into] see racy-but-never-torn values — every field is an
+    immediate int or an unboxed float slot, so a stale read is possible
+    but a corrupt one is not. *)
 
 type t
 
-val create : ?sync:bool -> unit -> t
-(** [create ()] is mutex-guarded (safe for concurrent writers).
-    [create ~sync:false ()] elides the lock: writes must then come from
-    a single owner domain, as in the per-domain telemetry shards. *)
-
-val synchronized : t -> bool
-(** Whether this table locks around every operation. *)
+val create : unit -> t
 
 val n_buckets : int
 val bucket_ratio : float
@@ -64,9 +58,9 @@ val buckets : t -> (float * int) array
 
 val merge_into : into:t -> t -> unit
 (** [merge_into ~into t] adds [t]'s histogram, count, sum and max into
-    [into].  Each side is snapshotted under its own lock when
-    synchronized; unsynchronized sources yield racy-but-never-torn
-    contributions, matching [Obs.Telemetry] merge semantics. *)
+    [into].  A source another domain is writing yields a
+    racy-but-never-torn contribution, matching [Obs.Telemetry] merge
+    semantics. *)
 
 val of_pairs : (float * float) list -> t
 (** Build from [(truth, estimate)] pairs, e.g. a workload evaluation. *)

@@ -130,7 +130,7 @@ let hist sh name =
     h
 
 (* Per-shard q-error tables follow the same find-or-create discipline as
-   counters and histograms.  Tables are created [~sync:false]: only the
+   counters and histograms.  Tables have no lock: only the
    owner domain records into them, and cross-domain readers go through
    [qerrors_merged], whose racy reads are never torn (ints + unboxed
    floats). *)
@@ -143,7 +143,7 @@ let qerror_slot sh name =
       match Hashtbl.find_opt sh.qerrors name with
       | Some q -> q
       | None ->
-        let q = Qerror.create ~sync:false () in
+        let q = Qerror.create () in
         Hashtbl.add sh.qerrors name q;
         q
     in

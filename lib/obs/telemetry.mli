@@ -73,8 +73,8 @@ val hrecord : t -> hist_handle -> int -> unit
 val observe_qerror : t -> string -> est:float -> truth:float -> unit
 (** Record one (estimate, truth) accuracy observation into the named
     {!Qerror} table on the calling domain's shard.  Lock-free after the
-    slot exists: the shard-local table is created [~sync:false] and only
-    the owner domain writes it. *)
+    slot exists: the shard-local table has no lock and only the owner
+    domain writes it. *)
 
 val qerror_shard : t -> string -> Qerror.t
 (** The calling domain's shard-local q-error table for [name] (created

@@ -144,11 +144,9 @@ type t = {
   join_evidence : binding;  (* every closure join indicator = true *)
   schedules : (string, sched_entry) Hashtbl.t;
   (* Compiled bytecode programs, one per restricted-variable set (same
-     key space as [schedules]).  The immutable assoc list is scanned
-     lock-free on the hot path — [Bytecode.load] itself is the key test —
-     and replaced under [mutex] on a miss. *)
+     key space as [schedules]).  The hot path scans the list with
+     [Bytecode.load] itself as the key test; a miss conses on. *)
   mutable programs : (string * Bytecode.program) list;
-  mutex : Mutex.t;
   mutable hits : int;
   mutable misses : int;
 }
@@ -206,17 +204,6 @@ let bind t q =
 
 let sched_key restricted = String.concat "," (List.map string_of_int restricted)
 
-let sched_find t key =
-  Mutex.lock t.mutex;
-  let r = Hashtbl.find_opt t.schedules key in
-  Mutex.unlock t.mutex;
-  r
-
-let sched_add t key entry =
-  Mutex.lock t.mutex;
-  if not (Hashtbl.mem t.schedules key) then Hashtbl.add t.schedules key entry;
-  Mutex.unlock t.mutex
-
 (* [count] separates the hot path (execute: bumps the domain-local
    schedule-memo counters and the plan's own hit/miss totals) from
    introspection ({!steps}), which must not skew them. *)
@@ -229,22 +216,18 @@ let schedule_of t ~count prep =
           Selest_obs.Span.add sp "order" entry.order_str
         end
       in
-      match sched_find t key with
+      match Hashtbl.find_opt t.schedules key with
       | Some entry ->
         if count then begin
           Selest_obs.Hotpath.order_hit ();
-          Mutex.lock t.mutex;
-          t.hits <- t.hits + 1;
-          Mutex.unlock t.mutex
+          t.hits <- t.hits + 1
         end;
         note "hit" entry;
         entry.sched
       | None ->
         if count then begin
           Selest_obs.Hotpath.order_miss ();
-          Mutex.lock t.mutex;
-          t.misses <- t.misses + 1;
-          Mutex.unlock t.mutex
+          t.misses <- t.misses + 1
         end;
         let sched = Ve.Schedule.plan ~keep:[||] (Ve.prepared_factors prep) in
         let entry =
@@ -254,15 +237,11 @@ let schedule_of t ~count prep =
               String.concat "," (List.map string_of_int sched.Ve.Schedule.order);
           }
         in
-        sched_add t key entry;
+        Hashtbl.add t.schedules key entry;
         note "miss" entry;
         sched)
 
-let schedule_stats t =
-  Mutex.lock t.mutex;
-  let r = (t.hits, t.misses) in
-  Mutex.unlock t.mutex;
-  r
+let schedule_stats t = (t.hits, t.misses)
 
 (* ---- compiled bytecode programs --------------------------------------------- *)
 
@@ -276,18 +255,6 @@ let rec no_join_nodes join_ev = function
 
 let count_allowed mask =
   Array.fold_left (fun n ok -> if ok then n + 1 else n) 0 mask
-
-let program_add t key prog =
-  Mutex.lock t.mutex;
-  let r =
-    match List.assoc_opt key t.programs with
-    | Some existing -> existing
-    | None ->
-      t.programs <- (key, prog) :: t.programs;
-      prog
-  in
-  Mutex.unlock t.mutex;
-  r
 
 let program_for t binding =
   if not (no_join_nodes t.join_evidence binding) then None
@@ -313,10 +280,7 @@ let program_for t binding =
           (List.sort_uniq compare (slots @ List.map fst t.join_evidence))
         ^ "/" ^ sched_key masked
       in
-      Mutex.lock t.mutex;
-      let existing = List.assoc_opt key t.programs in
-      Mutex.unlock t.mutex;
-      (match existing with
+      (match List.assoc_opt key t.programs with
       | Some prog -> Some prog
       | None -> (
         (* Compile the program for this binding's shape against the
@@ -336,7 +300,8 @@ let program_for t binding =
             Bytecode.compile ~factors:t.factors ~slots ~masked ~static
               ~order:sched.Ve.Schedule.order
           in
-          Some (program_add t key prog)))
+          t.programs <- (key, prog) :: t.programs;
+          Some prog))
 
 (* ---- compile / bind / execute ---------------------------------------------- *)
 
@@ -350,16 +315,12 @@ let execute_generic t binding =
 let count_hit t =
   Selest_obs.Hotpath.order_hit ();
   Selest_obs.Hotpath.program_hit ();
-  Mutex.lock t.mutex;
-  t.hits <- t.hits + 1;
-  Mutex.unlock t.mutex
+  t.hits <- t.hits + 1
 
 let count_miss t =
   Selest_obs.Hotpath.order_miss ();
   Selest_obs.Hotpath.program_miss ();
-  Mutex.lock t.mutex;
-  t.misses <- t.misses + 1;
-  Mutex.unlock t.mutex
+  t.misses <- t.misses + 1
 
 (* No program matched the binding: compile one for its restricted set
    (counted as a memo miss, like a fresh schedule), then run it. *)
@@ -520,7 +481,6 @@ let compile prm q =
           join_evidence;
           schedules = Hashtbl.create 4;
           programs = [];
-          mutex = Mutex.create ();
           hits = 0;
           misses = 0;
         }
@@ -580,11 +540,9 @@ let pp fmt t =
     (fun (node, _) -> Format.fprintf fmt " %s" t.node_names.(node))
     t.join_evidence;
   Format.pp_print_newline fmt ();
-  Mutex.lock t.mutex;
   let scheds =
     Hashtbl.fold (fun key e acc -> (key, e.sched) :: acc) t.schedules []
   in
-  Mutex.unlock t.mutex;
   List.iter
     (fun (key, sched) ->
       Format.fprintf fmt "  schedule [restrict %s]: %a (var:entries)@."

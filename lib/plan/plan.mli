@@ -18,8 +18,11 @@
 
     Plans are immutable apart from an internal schedule memo (the
     restricted-variable set of a binding determines the factor shapes,
-    hence the schedule), which is mutex-guarded: one plan may be executed
-    concurrently from many domains.  Schedule-memo hits and misses are
+    hence the schedule), a bytecode-program memo and their hit/miss
+    counters, none of which takes a lock: a plan is used by one domain
+    at a time.  The server keeps one plan cache per shard, so only the
+    shard's domain executes its plans, and the {!Exec} arenas are
+    already per domain.  Schedule-memo hits and misses are
     counted in {!Selest_obs.Hotpath} ([order_hits] / [order_misses]);
     the bytecode path additionally counts its program-memo reuse there
     ([program_hits] / [program_misses]), which the server surfaces in

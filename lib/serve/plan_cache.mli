@@ -9,24 +9,15 @@
     invalidates: new version, new keys, and the old entries age out of
     the LRU.
 
-    Thread-safe by default: one cache is shared by the [ESTBATCH]
-    worker pool of a single-shard server, and compilation happens under
-    the cache mutex so concurrent misses on one skeleton compile once,
-    not once per domain.  A shard-per-domain server instead gives each
-    executor domain a private cache created with [~synchronized:false],
-    which elides the mutex entirely — the request hot path then probes
-    and compiles without any lock. *)
+    Not thread-safe, by design: the server gives each executor shard its
+    own cache, used only by that shard's domain, so the request path
+    probes and compiles without any lock. *)
 
 type t
 
-val create : ?capacity:int -> ?synchronized:bool -> unit -> t
+val create : ?capacity:int -> unit -> t
 (** [capacity] is an entry count (plans are small — factors are shared
-    with the model's CPDs); default 256.  [synchronized] (default
-    [true]) selects the mutex-guarded mode; pass [false] for a
-    domain-private cache that must never be shared. *)
-
-val synchronized : t -> bool
-(** Whether this cache locks around every operation. *)
+    with the model's CPDs); default 256. *)
 
 val find_or_compile :
   t -> hash:int -> key:string -> compile:(unit -> Selest_plan.Plan.t) ->

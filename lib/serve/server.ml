@@ -7,9 +7,8 @@ let log = Logs.Src.create "selest.serve" ~doc:"selectivity-estimation server"
 module Log = (val Logs.src_log log : Logs.LOG)
 
 (* One executor shard's domain-local state.  Nothing in here is shared
-   with another shard on the request path: the estimate cache and plan
-   cache are private to the owning domain (the plan cache is created
-   unsynchronized whenever the server has more than one shard), and the
+   with another shard on the request path: the estimate cache, the plan
+   cache and the plans in it are private to the owning domain, and the
    admission counters are single-word atomics shared only with the
    listener.  The registry and telemetry are shared but lock-free —
    epoch-pinned snapshots and per-domain DLS shards respectively — so a
@@ -38,8 +37,6 @@ type t = {
   registry : Registry.t;
   shards : sstate array;
   metrics : Metrics.t;
-  pool_size : int option;
-  mutable pool : Selest_util.Pool.t option;
   avi : Selest_est.Estimator.t option Atomic.t;
       (* lazily-built AVI baseline: EXPLAINPLAN's fallback oracle for
          sub-queries the model cannot price *)
@@ -73,7 +70,7 @@ let slow_warmup = 64
 let refresh_mask = 511
 let capture_min_gap = 256
 
-let create ?(cache_bytes = 1 lsl 20) ?pool_size ?(slowlog_capacity = 128)
+let create ?(cache_bytes = 1 lsl 20) ?(slowlog_capacity = 128)
     ?(slow_quantile = 0.99) ?(qerror_gate = 100.0) ?(slo_p99_us = 10_000.0)
     ?(slo_qerror = 100.0) ?(domains = 1) ?tcp ?(max_inflight = 1024)
     ?(backlog = 128) ~db ~socket () =
@@ -88,11 +85,7 @@ let create ?(cache_bytes = 1 lsl 20) ?pool_size ?(slowlog_capacity = 128)
         {
           sid;
           scache = Lru.create ~capacity_bytes:cache_bytes;
-          (* A single-shard server still fans ESTBATCH misses across the
-             domain pool, whose workers share this plan cache — keep the
-             mutex there.  With >1 shards the cache is domain-private
-             and the request path must stay lock-free. *)
-          splans = Plan_cache.create ~synchronized:(domains = 1) ();
+          splans = Plan_cache.create ();
           scratch = Squery.create symtab;
           slice = Protocol.Slice.create ();
           c_req = Metrics.counter_handle metrics req_counter;
@@ -112,8 +105,6 @@ let create ?(cache_bytes = 1 lsl 20) ?pool_size ?(slowlog_capacity = 128)
     registry = Registry.create ~schema:(Database.schema db);
     shards;
     metrics;
-    pool_size;
-    pool = None;
     avi = Atomic.make None;
     slowlog = Obs.Slowlog.create ~capacity:slowlog_capacity ();
     slow_quantile;
@@ -172,22 +163,8 @@ let plan_stats t =
 
 let plan_entries t = sum_shards t (fun st -> Plan_cache.length st.splans)
 
-(* The domain pool is spawned on the first ESTBATCH, so servers that never
-   batch never pay for idle domains. *)
-let pool t =
-  match t.pool with
-  | Some p -> p
-  | None ->
-    let p = Selest_util.Pool.create ?size:t.pool_size () in
-    t.pool <- Some p;
-    p
-
-let shutdown_pool t =
-  match t.pool with
-  | Some p ->
-    Selest_util.Pool.shutdown p;
-    t.pool <- None
-  | None -> ()
+(* Nothing to stop: the server spawns no domains outside {!run}. *)
+let shutdown_pool (_ : t) = ()
 
 (* ---- request handlers ------------------------------------------------------ *)
 
@@ -290,8 +267,7 @@ let make_entry ~name ~version ~vec est =
    and hashed in one buffer pass ({!Canon.Skel}).  Hot-reloading bumps
    the version, so a stale model's plans can never be fetched again —
    on every shard, since every shard's keys carry the version. *)
-let plan_for t st ~name ~(entry : Registry.entry) q =
-  ignore t;
+let plan_for st ~name ~(entry : Registry.entry) q =
   Obs.Span.with_ "plan.fetch" (fun sp ->
       let skel = Canon.Skel.make ~name ~version:entry.Registry.version q in
       let plan, status =
@@ -321,33 +297,36 @@ let roll_hotpath t (d : Obs.Hotpath.t) =
 (* Run inference for one parsed query — fetch (or compile) the skeleton's
    plan, then execute it — measuring the hot-path work and rolling it into
    the metrics; fills the shard's estimate cache with a fully rendered
-   entry on success (the scratch must still hold the query, it provides
-   the entry's canonical snapshot).  Returns the resident entry. *)
-let infer_measured t st ~name ~(entry : Registry.entry) ~hash q =
+   entry on success, [vec] being the query's canonical snapshot.  Returns
+   the resident entry. *)
+let infer_measured t st ~name ~(entry : Registry.entry) ~hash ~vec q =
   match
     Obs.Hotpath.measure (fun () ->
-        let plan, status = plan_for t st ~name ~entry q in
+        let plan, status = plan_for st ~name ~entry q in
         (Plan.estimate plan ~sizes:t.sizes q, plan, status))
   with
   | (estimate, plan, status), d ->
-    let le =
-      make_entry ~name ~version:entry.Registry.version
-        ~vec:(Squery.Vec.of_scratch st.scratch)
-        estimate
-    in
+    let le = make_entry ~name ~version:entry.Registry.version ~vec estimate in
     Lru.add st.scache hash le;
     Metrics.incr t.metrics (Printf.sprintf "infer.%s" name);
     roll_hotpath t d;
     Ok (le, d, plan, status)
   | exception exn -> Error (Printexc.to_string exn)
 
+(* [infer_measured] for the query the shard scratch holds. *)
+let infer_scratch t st ~name ~entry ~hash =
+  infer_measured t st ~name ~entry ~hash
+    ~vec:(Squery.Vec.of_scratch st.scratch)
+    (Squery.to_query st.scratch)
+
 (* The transport-free EST core shared by the text handler and the binary
    frame handler: pin a registry snapshot, parse into the shard scratch,
    probe the shard's cache by hash, measured inference.  Zero mutex
    acquisitions end to end: the snapshot pin is one atomic load, the
    caches are domain-local, and the telemetry writes land on the
-   domain's own shard.  Bumps [est_errors] on every failure; the caller
-   formats the result. *)
+   domain's own shard.  Answers the resident entry, which carries the
+   model name and the estimate.  Bumps [est_errors] on every failure; the
+   caller formats the result. *)
 let est_core t st ~model ~body =
   match resolve_model t model with
   | Error msg ->
@@ -364,13 +343,10 @@ let est_core t st ~model ~body =
       match
         Obs.Span.with_ "est.cache" (fun _ -> probe t st ~name ~version hash)
       with
-      | entry -> Ok entry.Lru.est
+      | entry -> Ok entry
       | exception Not_found -> (
-        match
-          infer_measured t st ~name ~entry:e ~hash
-            (Squery.to_query st.scratch)
-        with
-        | Ok (le, _, _, _) -> Ok le.Lru.est
+        match infer_scratch t st ~name ~entry:e ~hash with
+        | Ok (le, _, _, _) -> Ok le
         | Error msg ->
           Metrics.incr t.metrics "est_errors";
           Error msg)))
@@ -378,34 +354,16 @@ let est_core t st ~model ~body =
 let handle_est t st ~model ~body =
   Obs.Span.with_ "est" (fun _ ->
       match est_core t st ~model ~body with
-      | Ok estimate ->
+      | Ok le ->
         Obs.Span.with_ "est.respond" (fun _ ->
-            Protocol.ok (Printf.sprintf "%.17g" estimate))
+            Protocol.ok (Printf.sprintf "%.17g" le.Lru.est))
       | Error msg -> Protocol.err msg)
 
-(* ESTBATCH: parse and cache-probe every body on the dispatching shard,
-   fan only the distinct cache misses across the domain pool, then answer
-   in request order.  All-or-nothing: any parse or inference failure turns
-   the whole batch into one ERR, so clients never have to pair partial
-   results with queries. *)
-
-(* Domains the pool can actually make useful: the configured (or default)
-   size clamped to the host's spare cores.  Zero on a single-core host,
-   where fanning out can only lose. *)
-let effective_pool_size t =
-  let configured =
-    match t.pool_size with
-    | Some s -> s
-    | None -> Selest_util.Pool.default_size ()
-  in
-  min configured (Domain.recommended_domain_count () - 1)
-
-(* Below this many distinct misses, domain scheduling overhead outweighs
-   the parallel inference work — stay on the dispatcher thread. *)
-let batch_chunk_threshold = 8
-
-(* Transport-free like [est_core]: answers in request order, or the
-   first failure as [Error]. *)
+(* ESTBATCH: parse and cache-probe every body on the shard, run each
+   distinct cache miss through the EST inference path in request order,
+   then answer in request order.  All-or-nothing: any parse or inference
+   failure turns the whole batch into one ERR, so clients never have to
+   pair partial results with queries.  Transport-free like [est_core]. *)
 let estbatch_core t st ~model ~bodies =
   match resolve_model t model with
   | Error msg ->
@@ -413,11 +371,11 @@ let estbatch_core t st ~model ~bodies =
     Error msg
   | Ok (name, e) -> (
     let version = e.Registry.version in
-    (* Parse, canonicalize and cache-probe every body on the dispatching
-       shard.  The scratch query is shard-local and each body overwrites
-       it, so a hit is verified (and a miss materialized into an owned
-       [Query.t] + snapshot for the workers) before the next body is
-       parsed. *)
+    (* Parse, canonicalize and cache-probe every body before any
+       inference, so a parse error anywhere costs no work.  Each body
+       overwrites the scratch query, so a hit is verified (and a miss
+       materialized into an owned [Query.t] + snapshot) before the next
+       body is parsed. *)
     let parsed =
       List.mapi
         (fun i body ->
@@ -445,64 +403,25 @@ let estbatch_core t st ~model ~bodies =
       let keyed =
         List.map (function Ok kq -> kq | Error _ -> assert false) parsed
       in
-      (* Collect each distinct missing hash once (repeats within one
-         batch answer from the first computation). *)
-      let misses = Hashtbl.create 16 in
-      let miss_order = ref [] in
-      List.iter
-        (fun (hash, outcome) ->
-          match outcome with
-          | `Hit _ -> ()
-          | `Miss (q, vec) ->
-            if not (Hashtbl.mem misses hash) then begin
-              Hashtbl.add misses hash ();
-              miss_order := (hash, q, vec) :: !miss_order
-            end)
-        keyed;
-      let miss_order = List.rev !miss_order in
-      let sizes = t.sizes in
-      let infer_one (hash, q, vec) =
-        (* measure inside the worker: hot-path counters are domain-local;
-           in the single-shard pool configuration the plan cache and each
-           plan's schedule memo are mutex-guarded, so workers share
-           compiled plans instead of recompiling *)
-        let v, d =
-          Obs.Hotpath.measure (fun () ->
-              let plan, _ = plan_for t st ~name ~entry:e q in
-              Plan.estimate plan ~sizes q)
-        in
-        (hash, vec, v, d)
+      (* Infer each distinct miss once; repeats within the batch, and the
+         answers themselves, come from the entries inferred here, so a
+         later eviction cannot change them. *)
+      let fresh = Hashtbl.create 16 in
+      let rec infer = function
+        | [] -> Ok ()
+        | (hash, `Miss (q, vec)) :: rest when not (Hashtbl.mem fresh hash) -> (
+          match infer_measured t st ~name ~entry:e ~hash ~vec q with
+          | Ok (le, _, _, _) ->
+            Hashtbl.add fresh hash le.Lru.est;
+            infer rest
+          | Error msg -> Error msg)
+        | _ :: rest -> infer rest
       in
-      match
-        (* Fan out only when domains can help: enough distinct misses to
-           amortize scheduling, spare cores to run them on, and a
-           single-shard server — a sharded server's shards already are
-           the parallelism, and its per-domain plan caches must not be
-           shared with pool workers.  The inline path raises the first
-           failure by request order, same as [Pool.map]'s
-           first-exception contract. *)
-        if
-          Array.length t.shards = 1
-          && effective_pool_size t > 1
-          && List.length miss_order >= batch_chunk_threshold
-        then Selest_util.Pool.map (pool t) infer_one miss_order
-        else List.map infer_one miss_order
-      with
-      | exception exn ->
+      match infer keyed with
+      | Error msg ->
         Metrics.incr t.metrics "est_errors";
-        Error (Printexc.to_string exn)
-      | computed ->
-        (* Cache fills stay on the dispatcher (the shard cache is not
-           synchronized); answers for misses come from this batch's own
-           results, immune to a concurrent eviction. *)
-        let fresh = Hashtbl.create 16 in
-        List.iter
-          (fun (hash, vec, v, d) ->
-            Lru.add st.scache hash (make_entry ~name ~version ~vec v);
-            Hashtbl.replace fresh hash v;
-            Metrics.incr t.metrics (Printf.sprintf "infer.%s" name);
-            roll_hotpath t d)
-          computed;
+        Error msg
+      | Ok () ->
         Ok
           (List.map
              (fun (hash, outcome) ->
@@ -591,7 +510,10 @@ let handle_explain t st ~model ~body =
                       | exception Not_found -> false)
                 in
                 let q = Squery.to_query st.scratch in
-                match infer_measured t st ~name ~entry:e ~hash q with
+                match
+                  infer_measured t st ~name ~entry:e ~hash
+                    ~vec:(Squery.Vec.of_scratch st.scratch) q
+                with
                 | Error msg -> Error msg
                 | Ok (le, d, plan, plan_status) ->
                   let rendered =
@@ -686,7 +608,7 @@ let handle_explainplan t st ~model ~body =
     | Ok () -> (
       let q = Squery.to_query st.scratch in
       let model_cost sub =
-        let plan, _ = plan_for t st ~name ~entry:e sub in
+        let plan, _ = plan_for st ~name ~entry:e sub in
         Plan.estimate plan ~sizes:t.sizes sub
       in
       let fallback = avi_fallback t in
@@ -755,7 +677,7 @@ let replay_spans t st ~model ~body =
               | Error _ -> None
               | Ok () -> (
                 let q = Squery.to_query st.scratch in
-                let plan, _ = plan_for t st ~name ~entry:e q in
+                let plan, _ = plan_for st ~name ~entry:e q in
                 match Plan.estimate plan ~sizes:t.sizes q with
                 | (_ : float) -> Some (Canon.key q)
                 | exception _ -> Some (Canon.key q)))))
@@ -797,44 +719,22 @@ let observe_response t st ~verb ?model ?body ~dt_ns () =
     end
 
 let handle_truth t st ~model ~truth ~body ~t0 =
-  match resolve_model t model with
-  | Error msg ->
-    Metrics.incr t.metrics "est_errors";
-    Protocol.err msg
-  | Ok (name, e) -> (
-    match parse_scratch st body with
-    | Error msg ->
-      Metrics.incr t.metrics "est_errors";
-      Protocol.err msg
-    | Ok () -> (
-      let version = e.Registry.version in
-      let hash = est_hash st ~name ~version in
-      let computed =
-        match probe t st ~name ~version hash with
-        | entry -> Ok entry.Lru.est
-        | exception Not_found ->
-          Result.map
-            (fun (le, _, _, _) -> le.Lru.est)
-            (infer_measured t st ~name ~entry:e ~hash
-               (Squery.to_query st.scratch))
-      in
-      match computed with
-      | Error msg ->
-        Metrics.incr t.metrics "est_errors";
-        Protocol.err msg
-      | Ok estimate ->
-        Metrics.observe_qerror t.metrics name ~est:estimate ~truth;
-        let qv = Obs.Qerror.value ~est:estimate ~truth in
-        (* Accuracy gate: an estimate this wrong is captured with its
-           span tree regardless of how fast it was computed. *)
-        if qv >= t.qerror_gate then
-          capture t st ~verb:"truth" ~reason:Obs.Slowlog.Qerror ?model ~body
-            ~qerror:qv
-            ~lat_ns:(Obs.Clock.now_ns () - t0)
-            ();
-        Protocol.ok
-          (Printf.sprintf "qerror=%.6g estimate=%.17g n=%d" qv estimate
-             (Obs.Qerror.count (Metrics.qerror_merged t.metrics name)))))
+  match est_core t st ~model ~body with
+  | Error msg -> Protocol.err msg
+  | Ok le ->
+    let name = le.Lru.model and estimate = le.Lru.est in
+    Metrics.observe_qerror t.metrics name ~est:estimate ~truth;
+    let qv = Obs.Qerror.value ~est:estimate ~truth in
+    (* Accuracy gate: an estimate this wrong is captured with its
+       span tree regardless of how fast it was computed. *)
+    if qv >= t.qerror_gate then
+      capture t st ~verb:"truth" ~reason:Obs.Slowlog.Qerror ?model ~body
+        ~qerror:qv
+        ~lat_ns:(Obs.Clock.now_ns () - t0)
+        ();
+    Protocol.ok
+      (Printf.sprintf "qerror=%.6g estimate=%.17g n=%d" qv estimate
+         (Obs.Qerror.count (Metrics.qerror_merged t.metrics name)))
 
 (* ---- STATS / METRICS ------------------------------------------------------- *)
 
@@ -1057,12 +957,11 @@ let handle_shards t =
     (fun st ->
       let ph, pm, _ = Plan_cache.stats st.splans in
       line
-        "shard id=%d inflight=%d accepted=%d requests=%d cache_entries=%d cache_hits=%d cache_misses=%d plan_entries=%d plan_hits=%d plan_misses=%d lock_free=%b"
+        "shard id=%d inflight=%d accepted=%d requests=%d cache_entries=%d cache_hits=%d cache_misses=%d plan_entries=%d plan_hits=%d plan_misses=%d"
         st.sid (Atomic.get st.inflight) (Atomic.get st.accepted)
         (Metrics.get t.metrics st.req_counter)
         (Lru.length st.scache) (Lru.hits st.scache) (Lru.misses st.scache)
-        (Plan_cache.length st.splans) ph pm
-        (not (Plan_cache.synchronized st.splans)))
+        (Plan_cache.length st.splans) ph pm)
     t.shards;
   Protocol.ok_multiline (Buffer.contents buf)
 
@@ -1348,7 +1247,7 @@ let handle_frame_st t st payload =
   | Ok (Protocol.Bin.Best { model; body }) -> (
     Metrics.incr t.metrics "est_requests";
     match Obs.Span.with_ "est" (fun _ -> est_core t st ~model ~body) with
-    | Ok estimate -> finish ~verb:"est" ?model ~body (Protocol.Bin.Bvalue estimate)
+    | Ok le -> finish ~verb:"est" ?model ~body (Protocol.Bin.Bvalue le.Lru.est)
     | Error msg -> finish ~verb:"est" ?model ~body (Protocol.Bin.Berr msg))
   | Ok (Protocol.Bin.Bestbatch { model; bodies }) -> (
     Metrics.incr t.metrics "estbatch_requests";
@@ -1454,10 +1353,7 @@ let fast_est t st c buf ~bin =
             let tf = Obs.Clock.now_ns () in
             Shard.flush c;
             let flush_ns = Obs.Clock.now_ns () - tf in
-            (match
-               infer_measured t st ~name ~entry:e ~hash
-                 (Squery.to_query st.scratch)
-             with
+            (match infer_scratch t st ~name ~entry:e ~hash with
             | Ok (le, _, _, _) ->
               Shard.reply c (if bin then le.Lru.bin else le.Lru.text)
             | Error msg ->
@@ -1626,7 +1522,6 @@ let run t =
   (try Unix.close stop_r with Unix.Unix_error _ -> ());
   (try Unix.close stop_w with Unix.Unix_error _ -> ());
   (try Unix.unlink t.socket with Unix.Unix_error _ -> ());
-  shutdown_pool t;
   (* Drain the JSONL trace sink before the final report: a SHUTDOWN must
      not strand buffered span records in a dying process. *)
   Obs.Trace_log.close ();

@@ -23,10 +23,9 @@
     [admission_rejected] counter ([selest_admission_rejected_total]).
 
     On the [EST] hot path a shard acquires {e zero} mutexes: the
-    registry read is one atomic snapshot pin, the estimate cache and
-    plan cache are domain-local (the plan cache is created
-    unsynchronized whenever [domains > 1]), and telemetry writes land on
-    the domain's own lock-free shard.  Estimates are bit-identical
+    registry read is one atomic snapshot pin, the estimate cache, the
+    plan cache and the plans in it are owned by the shard's domain, and
+    telemetry writes land on the domain's own lock-free shard.  Estimates are bit-identical
     across shard counts — every shard executes the same compiled plan
     for the same query.
 
@@ -57,13 +56,13 @@
     path ({!Protocol.parse_request} + [handle_line]) with identical
     observable behavior.
 
-    An [ESTBATCH] request on a {e single-shard} server fans its cache
-    misses across a {!Selest_util.Pool} of worker domains (probes and
-    cache fills stay on the dispatcher; the single-shard plan cache is
-    mutex-guarded so workers share compiled plans).  A sharded server
-    batches inline — its shards already are the parallelism, and its
-    plan caches are unsynchronized and must stay domain-private.
-    Estimates are bit-identical to sequential [EST] answers either way.
+    An [ESTBATCH] request runs inline on the shard that received it:
+    every body is parsed and probed first (a parse error anywhere
+    answers one [ERR query N: ...] before any inference), then each
+    distinct cache miss runs through the same inference path as [EST],
+    in request order.  The shards are the server's parallelism; one
+    request never spreads over domains.  Answers are bit-identical to
+    sequential [EST] answers.
 
     {2 Observability}
 
@@ -140,7 +139,6 @@ type t
 
 val create :
   ?cache_bytes:int ->
-  ?pool_size:int ->
   ?slowlog_capacity:int ->
   ?slow_quantile:float ->
   ?qerror_gate:float ->
@@ -154,11 +152,8 @@ val create :
   socket:string ->
   unit ->
   t
-(** [cache_bytes] defaults to 1 MiB {e per shard}.  [pool_size] is the
-    number of worker domains for single-shard [ESTBATCH] (default
-    [Domain.recommended_domain_count - 1]; [0] forces inline sequential
-    batching); the pool is spawned lazily on the first batch request.
-    No socket is bound until {!run}.
+(** [cache_bytes] defaults to 1 MiB {e per shard}.  No socket is bound
+    and no domain is spawned until {!run}.
 
     Sharding knobs: [domains] (default 1) is the number of executor
     shards {!run} spawns; [tcp] is an optional [(host, port)] endpoint
@@ -206,9 +201,8 @@ val shard_cache : t -> int -> Lru.t
 (** A specific shard's estimate cache (tests/benchmarks). *)
 
 val shard_plan_cache : t -> int -> Plan_cache.t
-(** A specific shard's plan cache.  On a sharded server
-    [Plan_cache.synchronized] is [false] for every shard — the lock-free
-    hot-path property tests assert on. *)
+(** A specific shard's plan cache.  It and the plans in it are used
+    only by that shard's domain while {!run} is serving. *)
 
 val socket_path : t -> string
 
@@ -272,9 +266,8 @@ val handle_frame : t -> bytes -> string
     [OK bin] before switching to length-prefixed frames until EOF. *)
 
 val shutdown_pool : t -> unit
-(** Stop and join the worker domains (if any were spawned).  {!run} calls
-    this on exit; transport-free users ({!handle_line}) that issued
-    [ESTBATCH] requests should call it when done. *)
+(** A no-op, kept so existing callers still build: the server spawns
+    no domains outside {!run}, so there is nothing to stop. *)
 
 val run : t -> unit
 (** Bind the Unix socket (unlinking a stale file first) and the optional
@@ -284,8 +277,8 @@ val run : t -> unit
     (rejected connections get one best-effort, non-blocking [BUSY]
     line).  Returns once a
     [SHUTDOWN] request has been answered: the shard domains are joined,
-    the socket file is removed, the domain pool is shut down and the
-    final metrics are logged at info level. *)
+    the socket file is removed and the final metrics are logged at info
+    level. *)
 
 val shutdown : t -> unit
 (** Ask a running {!run} to stop, from any thread — the programmatic

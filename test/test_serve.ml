@@ -180,8 +180,8 @@ let test_metrics_counters () =
     (Metrics.counters m)
 
 let test_metrics_concurrent_incr () =
-  (* ESTBATCH workers bump counters from several domains at once; the
-     mutex must not lose increments or observations. *)
+  (* Shards bump the shared counters from several domains at once; the
+     telemetry core must not lose increments or observations. *)
   let m = Metrics.create () in
   let n_domains = 4 and per_domain = 25_000 in
   let worker () =
@@ -452,11 +452,12 @@ let test_server_explainplan () =
     (Protocol.is_err (ask "EXPLAINPLAN z=zebra"));
   Alcotest.(check string) "still serving" "PONG" (ask "PING")
 
-let test_server_estbatch () =
-  (* Two servers over the same db/model: one answers each query through
-     sequential EST, the other with one parallel ESTBATCH on a cold cache.
-     Payloads must match character for character — %.17g round-trips
-     doubles exactly, so string equality is bit-identity. *)
+(* One ESTBATCH test body, run on [shard] of a [domains]-shard server:
+   one server answers each query through sequential EST, the other with
+   one ESTBATCH on a cold cache.  Payloads must match character for
+   character — %.17g round-trips doubles exactly, so string equality is
+   bit-identity. *)
+let estbatch_case ~domains ~shard =
   let bodies =
     [
       "c=contact, p=patient ; c.patient=p ; p.USBorn=1";
@@ -473,31 +474,52 @@ let test_server_estbatch () =
       bodies
   in
   let batch_server =
-    Server.create ~db:(Lazy.force db) ~pool_size:4 ~socket:"(test: unused)" ()
+    Server.create ~db:(Lazy.force db) ~domains ~socket:"(test: unused)" ()
   in
   ignore (Registry.register (Server.registry batch_server) ~name:"default" (Lazy.force model));
+  let ask line = fst (Server.handle_line_shard batch_server ~shard line) in
+  let infers () = Metrics.get (Server.metrics batch_server) "infer.default" in
   let line = "ESTBATCH " ^ String.concat " || " bodies in
-  let reply = fst (Server.handle_line batch_server line) in
+  let reply = ask line in
   Alcotest.(check bool) "batch ok" true (Protocol.is_ok reply);
   Alcotest.(check (list string)) "bit-identical to sequential EST" seq
     (String.split_on_char ' ' (Protocol.payload reply));
   (* the last two bodies share one canonical key: only three inferences ran *)
-  Alcotest.(check int) "misses deduped" 3
-    (Metrics.get (Server.metrics batch_server) "infer.default");
+  Alcotest.(check int) "misses deduped" 3 (infers ());
   (* a second identical batch is answered entirely from the cache *)
-  Alcotest.(check string) "cache-served batch identical" reply
-    (fst (Server.handle_line batch_server line));
-  Alcotest.(check int) "no new inferences" 3
-    (Metrics.get (Server.metrics batch_server) "infer.default");
+  Alcotest.(check string) "cache-served batch identical" reply (ask line);
+  Alcotest.(check int) "no new inferences" 3 (infers ());
   (* all-or-nothing: one bad body fails the whole batch with its index *)
-  let err = fst (Server.handle_line batch_server "ESTBATCH p=patient ; ; p.USBorn=1 || z=zebra") in
+  let err = ask "ESTBATCH p=patient ; ; p.USBorn=1 || z=zebra" in
   Alcotest.(check bool) "all-or-nothing" true (Protocol.is_err err);
   Alcotest.(check bool) "error names the query" true
     (String.length err >= 12 && String.sub err 0 12 = "ERR query 2:");
   Alcotest.(check bool) "unknown model" true
-    (Protocol.is_err (fst (Server.handle_line batch_server "ESTBATCH @nope p=patient ;; p.USBorn=1")));
-  Server.shutdown_pool batch_server;
-  Server.shutdown_pool seq_server
+    (Protocol.is_err (ask "ESTBATCH @nope p=patient ;; p.USBorn=1"))
+
+let test_server_estbatch () =
+  estbatch_case ~domains:1 ~shard:0;
+  estbatch_case ~domains:2 ~shard:1
+
+(* Every body is parsed before any inference runs: a parse error in a
+   later body, after earlier bodies missed the cache, answers one ERR
+   and infers nothing. *)
+let test_server_estbatch_late_parse_error () =
+  let server = fresh_server () in
+  let infers () = Metrics.get (Server.metrics server) "infer.default" in
+  let before = infers () in
+  let reply =
+    fst
+      (Server.handle_line server
+         "ESTBATCH c=contact, p=patient ; c.patient=p ; p.USBorn=1 || \
+          p=patient ; ; p.USBorn=0 || z=zebra")
+  in
+  Alcotest.(check bool) "one ERR line" true
+    (Protocol.is_err reply && not (String.contains reply '\n'));
+  Alcotest.(check bool) "error names the query" true
+    (String.length reply >= 12 && String.sub reply 0 12 = "ERR query 3:");
+  Alcotest.(check int) "no inference ran" before (infers ());
+  Alcotest.(check int) "nothing cached" 0 (Lru.length (Server.cache server))
 
 (* ---- end-to-end over the socket --------------------------------------------------- *)
 
@@ -669,28 +691,21 @@ let test_registry_epoch_pin () =
   Alcotest.(check (list string)) "names, MRU first" [ "other"; "tb" ]
     (Registry.Epoch.names s2)
 
+(* The plan-cache contract (one mode: each shard owns its cache). *)
 let test_plan_cache_sync_modes () =
-  let sync = Plan_cache.create () in
-  Alcotest.(check bool) "default synchronized" true (Plan_cache.synchronized sync);
-  let unsync = Plan_cache.create ~synchronized:false () in
-  Alcotest.(check bool) "opt-out unsynchronized" false
-    (Plan_cache.synchronized unsync);
-  (* both modes implement the same cache contract *)
+  let pc = Plan_cache.create () in
   let m = Lazy.force model in
   let q = tb_query [ "p.USBorn=1" ] in
-  List.iter
-    (fun pc ->
-      let compile () = Selest_plan.Plan.compile m q in
-      let _, s1 = Plan_cache.find_or_compile pc ~hash:17 ~key:"k" ~compile in
-      let _, s2 = Plan_cache.find_or_compile pc ~hash:17 ~key:"k" ~compile in
-      Alcotest.(check bool) "miss then hit" true (s1 = `Miss && s2 = `Hit);
-      let hits, misses, _ = Plan_cache.stats pc in
-      Alcotest.(check (pair int int)) "stats" (1, 1) (hits, misses);
-      (* same hash, different full key: detected, evicted, recompiled *)
-      let _, s3 = Plan_cache.find_or_compile pc ~hash:17 ~key:"other" ~compile in
-      Alcotest.(check bool) "collision is a miss" true (s3 = `Miss);
-      Alcotest.(check int) "collision counted" 1 (Plan_cache.collisions pc))
-    [ sync; unsync ]
+  let compile () = Selest_plan.Plan.compile m q in
+  let _, s1 = Plan_cache.find_or_compile pc ~hash:17 ~key:"k" ~compile in
+  let _, s2 = Plan_cache.find_or_compile pc ~hash:17 ~key:"k" ~compile in
+  Alcotest.(check bool) "miss then hit" true (s1 = `Miss && s2 = `Hit);
+  let hits, misses, _ = Plan_cache.stats pc in
+  Alcotest.(check (pair int int)) "stats" (1, 1) (hits, misses);
+  (* same hash, different full key: detected, evicted, recompiled *)
+  let _, s3 = Plan_cache.find_or_compile pc ~hash:17 ~key:"other" ~compile in
+  Alcotest.(check bool) "collision is a miss" true (s3 = `Miss);
+  Alcotest.(check int) "collision counted" 1 (Plan_cache.collisions pc)
 
 (* q-error tables shard per domain and merge on read. *)
 let test_qerror_shard_merge () =
@@ -709,8 +724,6 @@ let test_qerror_shard_merge () =
   (* the calling domain's shard only holds its own writes *)
   Alcotest.(check int) "shard-local count" 2
     (Selest_obs.Qerror.count (Metrics.qerror_shard mtr "m"));
-  Alcotest.(check bool) "shard tables are unsynchronized" false
-    (Selest_obs.Qerror.synchronized (Metrics.qerror_shard mtr "m"));
   match Metrics.qerror_tables mtr with
   | [ ("m", qe) ] -> Alcotest.(check int) "tables merged" 3 (Selest_obs.Qerror.count qe)
   | _ -> Alcotest.fail "expected exactly one merged table"
@@ -745,8 +758,8 @@ let test_shards_verb () =
        lines);
   List.iter
     (fun sid ->
-      (* every shard ran exactly one EST (one domain-local miss, lock-free
-         plan cache); shard 0 additionally served the SHARDS request *)
+      (* every shard ran exactly one EST (one domain-local miss); shard 0
+         additionally served the SHARDS request *)
       let requests = if sid = 0 then 2 else 1 in
       Alcotest.(check bool)
         (Printf.sprintf "shard %d line" sid)
@@ -755,13 +768,10 @@ let test_shards_verb () =
            (fun l ->
              contains l (Printf.sprintf "shard id=%d" sid)
              && contains l (Printf.sprintf "requests=%d" requests)
-             && contains l "cache_misses=1"
-             && contains l "lock_free=true")
+             && contains l "cache_misses=1")
            lines))
     [ 0; 1; 2 ];
-  (* multi-shard plan caches are unsynchronized; shard 0 accessors alias *)
-  Alcotest.(check bool) "plan caches lock-free" false
-    (Plan_cache.synchronized (Server.shard_plan_cache server 1));
+  (* shard 0 accessors alias *)
   Alcotest.(check bool) "cache is shard 0's" true
     (Server.cache server == Server.shard_cache server 0);
   Alcotest.(check bool) "out of range" true
@@ -1828,6 +1838,8 @@ let () =
           Alcotest.test_case "handle_line" `Quick test_server_handle_line;
           Alcotest.test_case "explainplan" `Quick test_server_explainplan;
           Alcotest.test_case "estbatch" `Quick test_server_estbatch;
+          Alcotest.test_case "estbatch late parse error" `Quick
+            test_server_estbatch_late_parse_error;
           Alcotest.test_case "socket round trip" `Quick test_socket_round_trip;
           Alcotest.test_case "socket slow-log capture" `Quick
             test_socket_slowlog_capture;
